@@ -4,6 +4,9 @@
 #   scripts/verify.sh [--quick]
 #
 # Tier-1 (from ROADMAP.md) is `cargo build --release && cargo test -q`.
+# `cargo test -q` covers only the root package, so the script also runs
+# `cargo test --workspace -q`: the unit tests inside `crates/*/src`
+# (the VM's memory differential test among them) run nowhere else.
 # The throughput smoke run exercises the benchmark binary in `--quick`
 # mode, which also cross-checks the incremental scheduler kernel against
 # the rescan-per-cycle reference kernel on three workloads (the run
@@ -52,6 +55,9 @@ cargo build --release
 echo "== tier-1: cargo test -q"
 cargo test -q
 
+echo "== workspace tests: cargo test --workspace -q"
+cargo test --workspace -q
+
 echo "== fmt: cargo fmt --check"
 cargo fmt --check
 
@@ -99,6 +105,7 @@ cargo test --release -q --test checkpoint_roundtrip
 # BENCH_dse.json must have been generated at this build's
 # KERNEL_VERSION (a kernel bump without regeneration fails here).
 echo "== DSE service smoke (server + client, cold then warm)"
+cargo build --release -q -p dda-bench --bin dse_server --bin dse
 DSE_TMP="target/dse_smoke"
 rm -rf "$DSE_TMP"; mkdir -p "$DSE_TMP"
 target/release/dse_server --addr 127.0.0.1:0 \

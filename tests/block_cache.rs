@@ -9,7 +9,8 @@ use std::sync::Arc;
 
 use dda::core::{FaultPlan, MachineConfig, Simulator};
 use dda::isa::{AluOp, Fpr, FpuOp, Gpr, MemWidth, StreamHint};
-use dda::program::{FunctionBuilder, Program, ProgramBuilder};
+use dda::program::fuzz::{derive_seed, fuzz_program};
+use dda::program::{FunctionBuilder, FuzzWeights, Program, ProgramBuilder};
 use dda::stats::Rng;
 use dda::vm::{DynInst, StreamProfiler, Vm, VmError};
 use dda::workloads::Benchmark;
@@ -547,6 +548,124 @@ fn profiler_sees_identical_stream_through_block_replay() {
             pb.stats(),
             "{bench}: profile diverged under block replay"
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Fast-forward vs. a step_block loop with a step tail
+// ---------------------------------------------------------------------------
+
+/// Worst case one `step_block` call commits: 64 straight-line ops (the
+/// VM's block length cap) plus the terminator. Fast-forward replays whole
+/// blocks only while this still fits under its budget, then single-steps.
+const BLOCK_WORST_CASE: u64 = 65;
+
+/// The fast-forward contract spelled out with the public block and step
+/// entry points: whole blocks while a worst-case block fits under the
+/// budget, then single steps up to it exactly.
+fn ff_reference(vm: &mut Vm, n: u64, stream: &mut Vec<DynInst>) -> Option<VmError> {
+    let target = vm.instructions_executed().saturating_add(n);
+    let mut ring = Vec::new();
+    while !vm.is_halted() && vm.instructions_executed() + BLOCK_WORST_CASE <= target {
+        ring.clear();
+        let fault = vm.step_block(&mut ring);
+        stream.extend_from_slice(&ring);
+        if fault.is_some() {
+            return fault;
+        }
+    }
+    while !vm.is_halted() && vm.instructions_executed() < target {
+        match vm.step() {
+            Ok(Some(d)) => stream.push(d),
+            Ok(None) => break,
+            Err(e) => return Some(e),
+        }
+    }
+    None
+}
+
+/// Advances two machines over `program` by the same sequence of budgets,
+/// one through `fast_forward_observed` and one through [`ff_reference`],
+/// and asserts after every leg that the observed streams, the error, the
+/// final pc and the translation-cache counters agree. Returns the error
+/// the run ended with, if any.
+fn assert_ff_matches(label: &str, program: &Arc<Program>, legs: &[u64]) -> Option<VmError> {
+    let mut ff = Vm::new(Arc::clone(program));
+    let mut reference = Vm::new(Arc::clone(program));
+    let mut fault = None;
+    for (i, &n) in legs.iter().enumerate() {
+        let label = format!("{label}, leg {i} of {n}");
+        let mut got = Vec::new();
+        let res = ff.fast_forward_observed(n, |d| got.push(*d));
+        let mut want = Vec::new();
+        let want_err = ff_reference(&mut reference, n, &mut want);
+        assert_eq!(got, want, "{label}: DynInst stream");
+        assert_eq!(res.err(), want_err, "{label}: VmError");
+        if let Ok(summary) = res {
+            assert_eq!(summary.executed, got.len() as u64, "{label}: executed");
+            assert_eq!(summary.halted, ff.is_halted(), "{label}: halted");
+        }
+        assert_eq!(ff.pc(), reference.pc(), "{label}: final pc");
+        assert_eq!(
+            ff.instructions_executed(),
+            reference.instructions_executed(),
+            "{label}: executed count"
+        );
+        assert_eq!(ff.is_halted(), reference.is_halted(), "{label}: halted");
+        assert_eq!(
+            ff.tcache_stats(),
+            reference.tcache_stats(),
+            "{label}: TCacheStats"
+        );
+        fault = fault.or(want_err);
+    }
+    fault
+}
+
+/// Random budgets: short legs (most end inside a block, so the step
+/// tail stops mid-block), medium and long ones, then one that runs to
+/// the end of the program.
+fn random_legs(rng: &mut Rng) -> Vec<u64> {
+    let mut legs: Vec<u64> = (0..8)
+        .map(|_| match rng.gen_range(0u32..3) {
+            0 => rng.gen_range(0u64..BLOCK_WORST_CASE + 5),
+            1 => rng.gen_range(BLOCK_WORST_CASE..700),
+            _ => rng.gen_range(700u64..5_000),
+        })
+        .collect();
+    legs.push(STEP_CAP);
+    legs
+}
+
+#[test]
+fn fast_forward_matches_block_loop_with_step_tail() {
+    let mut faults = 0;
+    for seed in 0..12u64 {
+        for faulty in [false, true] {
+            let mut rng = Rng::seed_from_u64(0xFF00 << 8 | seed);
+            let program = Arc::new(random_program(&mut rng, faulty));
+            let legs = random_legs(&mut rng);
+            let fault = assert_ff_matches(&format!("seed {seed} faulty {faulty}"), &program, &legs);
+            faults += u32::from(faulty && fault.is_some());
+        }
+    }
+    assert_eq!(faults, 12, "every faulty program traps under fast-forward");
+
+    let mut rng = Rng::seed_from_u64(0xF022);
+    for (name, weights) in FuzzWeights::presets() {
+        for seed in 0..4u64 {
+            let program = Arc::new(fuzz_program(derive_seed(0xFF, seed), &weights));
+            let legs = random_legs(&mut rng);
+            assert_ff_matches(&format!("fuzz {name} seed {seed}"), &program, &legs);
+        }
+    }
+
+    // Budgets straddling the whole-block threshold on the preset
+    // workloads, which never halt inside these budgets.
+    for bench in [Benchmark::Compress, Benchmark::Li] {
+        let program = Arc::new(bench.program(u32::MAX / 2));
+        let legs = [0, 1, 63, 64, 65, 66, 130, 1_000, 12_345];
+        assert_eq!(assert_ff_matches(bench.name(), &program, &legs), None);
     }
 }
 
