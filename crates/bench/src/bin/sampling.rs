@@ -10,7 +10,10 @@
 //! 2. **times** the payoff: at `--speed-budget` (default 3 M
 //!    instructions, ten times the pipeline budget) the sampled run must
 //!    be at least 5× faster in wall-clock time than full detail,
-//!    aggregated across all workloads.
+//!    aggregated across all workloads. A full run uses one host thread
+//!    and a sampled run [`dda_bench::sampling_threads`] (two unless
+//!    `DDA_WORKERS=1`, or one when a `--store` already holds its
+//!    windows); the report records both and the host CPU count.
 //!
 //! The report is written to `BENCH_sampling.json` and the process exits
 //! nonzero when either gate fails, so CI can run it directly.
@@ -37,7 +40,10 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use dda_bench::{sample_program_adaptive, CheckpointStore, Confidence, SampledRun, SamplingConfig};
+use dda_bench::{
+    sample_program_adaptive, sampling_threads, CheckpointStore, Confidence, SampledRun,
+    SamplingConfig,
+};
 use dda_core::{MachineConfig, Simulator};
 use dda_workloads::Benchmark;
 
@@ -219,8 +225,16 @@ fn main() {
     let _ = write!(json, "  ],\n  \"all_within_ci\": {all_within},\n");
 
     // Phase 2 — speed: sampled wall-time vs full detail at paper scale.
+    // A full run uses one thread; a sampled run may use two (its back
+    // stage on a helper), so the report records both and the host's CPUs.
     let mut full_secs = 0.0f64;
     let mut sampled_secs = 0.0f64;
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let _ = writeln!(
+        json,
+        "  \"speed_threads\": {{\"host_cpus\": {host_cpus}, \"full\": 1, \"sampled\": {}}},",
+        sampling_threads(),
+    );
     json.push_str("  \"speed\": [\n");
     for (wi, &bench) in workloads.iter().enumerate() {
         let program = Arc::new(bench.program(u32::MAX / 2));

@@ -28,8 +28,8 @@ pub use dse::{
 };
 pub use microbench::{Bencher, BenchmarkGroup, Criterion, Throughput};
 pub use sampling::{
-    sample_program, sample_program_adaptive, sample_program_stored, tags_from_checkpoint,
-    Confidence, Estimate, SampledRun, SamplingConfig, WindowSample,
+    sample_program, sample_program_adaptive, sample_program_stored, sampling_threads,
+    tags_from_checkpoint, Confidence, Estimate, SampledRun, SamplingConfig, WindowSample,
 };
 
 pub use experiments::{

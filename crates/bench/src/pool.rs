@@ -15,6 +15,7 @@
 //! task's `Err` result, and moves on to the next task — the behaviour
 //! figure sweeps need when one configuration point is poisoned.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -28,6 +29,11 @@ pub type TaskResult<T> = std::thread::Result<T>;
 /// shared host and to force serial execution for timing comparisons),
 /// otherwise one per available CPU — never more than the task count,
 /// always at least one.
+///
+/// The same override governs the sampled run's helper thread: a sampled
+/// run outside a pool worker uses one when `default_workers(2)` is 2, so
+/// `DDA_WORKERS=1` also runs its back stage inline on the caller (see
+/// [`crate::sampling::sampling_threads`]).
 pub fn default_workers(tasks: usize) -> usize {
     use std::sync::OnceLock;
     static OVERRIDE: OnceLock<Option<usize>> = OnceLock::new();
@@ -45,6 +51,18 @@ pub fn default_workers(tasks: usize) -> usize {
 fn parse_workers_override(var: Option<String>) -> Option<usize> {
     var.and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&n| n > 0)
+}
+
+thread_local! {
+    static SHARING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread is one of several workers of a running
+/// [`run_tasks`]. Those workers already take one CPU each, so a task
+/// should not start threads of its own: a sampled run inside one keeps
+/// its back stage inline.
+pub(crate) fn in_shared_worker() -> bool {
+    SHARING.with(Cell::get)
 }
 
 /// The host parallelism the pool would use for an unbounded task count —
@@ -91,6 +109,7 @@ where
             Err(_) => None, // poisoned by a panic mid-take: impossible, cell ops don't panic
         };
         let Some(task) = task else { return };
+        SHARING.with(|c| c.set(workers > 1));
         let out = catch_unwind(AssertUnwindSafe(task));
         if let Ok(mut r) = results[idx].lock() {
             *r = Some(out);
@@ -205,6 +224,18 @@ mod tests {
                 assert_eq!(*r.as_ref().unwrap(), i as u64);
             }
         }
+    }
+
+    #[test]
+    fn only_workers_of_a_shared_pool_report_sharing() {
+        assert!(!in_shared_worker());
+        let probe = || (in_shared_worker(), crate::sampling::sampling_threads());
+        let out = run_tasks(vec![probe; 4], 2);
+        assert!(out.into_iter().all(|r| r.unwrap() == (true, 1)));
+        // One task clamps the pool to one worker, which shares nothing.
+        let out = run_tasks(vec![probe], 4);
+        assert!(!out[0].as_ref().unwrap().0);
+        assert!(!in_shared_worker());
     }
 
     #[test]

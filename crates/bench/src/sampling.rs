@@ -18,7 +18,16 @@
 //! purely functional and a window never perturbs the stream — the same
 //! discipline lets a window start from a restored
 //! [`dda_vm::Checkpoint`] bit-identically (see `tests/`).
+//!
+//! Fast-forward, warming and the windows do not depend on each other's
+//! timing, so a run is a two-stage pipeline. The caller (front stage)
+//! owns the master VM and the store lookups and fast-forwards. Chunks of
+//! its accesses, window positions and restored tags flow in order over a
+//! bounded channel to the back stage, which owns the warmup model, writes
+//! the window checkpoints and runs the windows. Only the serial
+//! fast-forward chain stays on the caller's critical path.
 
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -28,6 +37,7 @@ use dda_program::Program;
 use dda_vm::{CheckpointKey, Vm};
 
 use crate::checkpoint::CheckpointStore;
+use crate::pool;
 
 /// Two-sided confidence level for the sampling interval.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -278,9 +288,23 @@ pub fn sample_program(
 /// changes wall-clock time. Store I/O failures degrade to the
 /// fast-forward path silently (the store is a cache, not a dependency).
 ///
+/// The run is a two-stage pipeline. The caller fast-forwards the master
+/// VM and streams its accesses, the window positions and any restored
+/// tags to a back stage, which warms the caches, writes the window
+/// checkpoints and runs the detailed windows. The back stage runs on one
+/// helper thread when [`sampling_threads`] is 2 and the store does not
+/// already hold the run's second window; otherwise it runs inline, as
+/// there is no fast-forward to overlap it with. Either way the result is
+/// that of the serial loop: the first error in window order wins, and
+/// the first window that measures nothing ends the run.
+///
 /// # Errors
 ///
 /// As for [`sample_program`].
+///
+/// # Panics
+///
+/// A panic in the back stage re-raises here, with its payload.
 pub fn sample_program_stored(
     cfg: &MachineConfig,
     program: Arc<Program>,
@@ -289,93 +313,52 @@ pub fn sample_program_stored(
 ) -> Result<SampledRun, SimError> {
     let sim = Simulator::new(cfg.clone())?;
     let start_t = Instant::now();
-    let k = scfg.windows.max(1) as u64;
-    let spacing = (scfg.budget / k).max(1);
-    let phash = crate::checkpoint::program_fingerprint(&program);
-    let chash = if scfg.functional_warmup {
-        crate::checkpoint::config_fingerprint(cfg)
-    } else {
-        0
+    let keys = Keys {
+        program: crate::checkpoint::program_fingerprint(&program),
+        config: if scfg.functional_warmup {
+            crate::checkpoint::config_fingerprint(cfg)
+        } else {
+            0
+        },
     };
-    let key_at = |inst: u64| CheckpointKey {
-        program_hash: phash,
-        inst_index: inst,
-        config_hash: chash,
+    let (results_tx, results) = mpsc::channel();
+    let (free_tx, free) = mpsc::channel();
+    let back = Back {
+        sim: &sim,
+        scfg,
+        store,
+        keys,
+        warm: scfg
+            .functional_warmup
+            .then(|| FunctionalWarmup::new(&cfg.hierarchy)),
+        adopted: None,
+        stopped: false,
+        results: results_tx,
+        free: free_tx,
     };
-    let mut vm = Vm::new(Arc::clone(&program));
-    let mut warm = scfg
-        .functional_warmup
-        .then(|| FunctionalWarmup::new(&cfg.hierarchy));
-    let mut windows = Vec::with_capacity(scfg.windows);
-    let mut detailed_insts = 0u64;
-    let mut ff_insts = 0u64;
-    for i in 0..k {
-        let start = i * spacing;
-        // A stored checkpoint replaces the functional replay to `start`;
-        // restoration teleports the *master*, so later windows keep
-        // fast-forwarding from here (and the warmup model follows via the
-        // checkpoint's serialized tags).
-        let restored = store.and_then(|s| load_state(s, &key_at(start), &program, warm.is_some()));
-        let tags = match restored {
-            Some((r, restored_tags)) => {
-                vm = r;
-                if let (Some(w), Some(t)) = (&mut warm, &restored_tags) {
-                    // Later fast-forwards continue warming from the
-                    // checkpointed tag state, exactly as if the skipped
-                    // prefix had been replayed.
-                    w.adopt(t);
-                }
-                restored_tags
-            }
-            None => {
-                position(&mut vm, start, warm.as_mut(), &mut ff_insts)?;
-                if vm.is_halted() {
-                    break;
-                }
-                let tags = warm.as_ref().map(|w| w.tags());
-                if let Some(s) = store {
-                    let mut ck = vm.checkpoint(phash, chash);
-                    ck.cache_tags = tags.as_ref().map(|t| t.to_bytes());
-                    let _ = s.save(&ck); // best effort
-                }
-                tags
-            }
-        };
-        if vm.is_halted() {
-            break;
-        }
-        let vm_w = vm.clone();
-        let run = sim.run_window(vm_w, tags.as_ref(), scfg.warmup_insts, scfg.window_insts)?;
-        detailed_insts += run.total.committed;
-        if run.window.committed == 0 {
-            break; // halted inside the warm-up prefix
-        }
-        windows.push(WindowSample {
-            start_inst: vm.instructions_executed(),
-            committed: run.window.committed,
-            cycles: run.window.cycles,
-            cpi: run.window.cycles as f64 / run.window.committed as f64,
-            lvc_hit_rate: lvc_hit_rate(&run),
-            port_stalls_per_kinst: (run.window.lsq.port_stall_cycles
-                + run.window.lvaq.port_stall_cycles) as f64
-                / (run.window.committed as f64 / 1000.0),
-        });
+    let front = Front {
+        program: &program,
+        scfg,
+        store,
+        keys,
+        vm: Vm::new(Arc::clone(&program)),
+        ff_insts: 0,
+        buf: Vec::new(),
+        free,
+        results,
+    };
+    // A store holding the second window's start was filled by this shape:
+    // its windows restore instead of fast-forwarding.
+    let served = store.is_some_and(|s| s.path_for(&keys.at(spacing(scfg))).is_file());
+    let threaded = sampling_threads() == 2 && !served;
+    let (ran, back) = drive(front, back, Back::handle, threaded);
+    let ran = ran?;
+    if let (Some(s), true) = (store, ran.save_tail) {
+        let mut ck = ran.vm.checkpoint(keys.program, keys.config);
+        ck.cache_tags = back.warm.as_ref().map(|w| w.tags().to_bytes());
+        let _ = s.save(&ck); // best effort
     }
-    // Cover the tail so `halted_early` reflects the whole budget, not
-    // just the last window start.
-    if !vm.is_halted() && scfg.budget > vm.instructions_executed() {
-        match store.and_then(|s| load_state(s, &key_at(scfg.budget), &program, warm.is_some())) {
-            Some((restored, _)) => vm = restored,
-            None => {
-                position(&mut vm, scfg.budget, warm.as_mut(), &mut ff_insts)?;
-                if let (Some(s), false) = (store, vm.is_halted()) {
-                    let mut ck = vm.checkpoint(phash, chash);
-                    ck.cache_tags = warm.as_ref().map(|w| w.tags().to_bytes());
-                    let _ = s.save(&ck);
-                }
-            }
-        }
-    }
+    let windows = ran.windows;
     let conf = scfg.confidence;
     let collect = |f: fn(&WindowSample) -> f64| -> Vec<f64> { windows.iter().map(f).collect() };
     Ok(SampledRun {
@@ -383,9 +366,9 @@ pub fn sample_program_stored(
         lvc_hit_rate: Estimate::over(&collect(|w| w.lvc_hit_rate), conf),
         port_stalls_per_kinst: Estimate::over(&collect(|w| w.port_stalls_per_kinst), conf),
         windows,
-        fast_forwarded: ff_insts,
-        detailed_insts,
-        halted_early: vm.is_halted(),
+        fast_forwarded: ran.ff_insts,
+        detailed_insts: ran.detailed_insts,
+        halted_early: ran.vm.is_halted(),
         host_secs: start_t.elapsed().as_secs_f64(),
     })
 }
@@ -437,40 +420,412 @@ pub fn sample_program_adaptive(
     }
 }
 
-/// Fast-forwards `vm` by `n` instructions, feeding every memory access to
-/// the warmup model when present.
-fn fast_forward_warming(
-    vm: &mut Vm,
-    n: u64,
-    warm: Option<&mut FunctionalWarmup>,
-) -> Result<(), dda_vm::VmError> {
-    match warm {
-        Some(w) => vm
-            .fast_forward_observed(n, |d| {
-                if let Some(m) = &d.mem {
-                    w.touch(m.addr, m.is_store, m.is_local());
-                }
-            })
-            .map(|_| ()),
-        None => vm.fast_forward(n).map(|_| ()),
+/// Accesses per chunk of the stream the front stage sends.
+const CHUNK: usize = 16 * 1024;
+
+/// Messages in flight between the stages. It bounds how far the
+/// fast-forward runs ahead of the back stage, and so the memory that
+/// chunks and window VMs hold in transit.
+const DEPTH: usize = 8;
+
+/// One fast-forwarded access, as the warmup model takes it:
+/// `(addr, is_store, is_local)`.
+type Access = (u32, bool, bool);
+
+/// The content-address hashes of a run's checkpoints.
+#[derive(Clone, Copy)]
+struct Keys {
+    program: u64,
+    config: u64,
+}
+
+impl Keys {
+    fn at(self, inst: u64) -> CheckpointKey {
+        CheckpointKey {
+            program_hash: self.program,
+            inst_index: inst,
+            config_hash: self.config,
+        }
     }
 }
 
-/// Fast-forwards the master to the absolute instruction index `target`
-/// (no-op when already there or past), accumulating the replayed count.
-fn position(
-    vm: &mut Vm,
-    target: u64,
-    warm: Option<&mut FunctionalWarmup>,
-    ff_insts: &mut u64,
-) -> Result<(), SimError> {
-    let here = vm.instructions_executed();
-    if target <= here {
-        return Ok(());
+/// What the front stage sends the back stage, in stream order.
+enum Msg {
+    /// Accesses of the fast-forward stream.
+    Chunk(Vec<Access>),
+    /// Tags restored with the master VM: warming resumes from them, and
+    /// the next window starts with them.
+    Adopt(HierarchyTags),
+    /// Run a window from this position, checkpointing it first when
+    /// `save` is set.
+    Window { vm: Box<Vm>, save: bool },
+}
+
+/// The back stage: cache warming, window checkpoints and detailed windows.
+struct Back<'a> {
+    sim: &'a Simulator,
+    scfg: &'a SamplingConfig,
+    store: Option<&'a CheckpointStore>,
+    keys: Keys,
+    warm: Option<FunctionalWarmup>,
+    /// Tags from the last [`Msg::Adopt`], for the window that follows it.
+    adopted: Option<HierarchyTags>,
+    /// Set by the first window that errs or measures nothing. Later
+    /// windows are the front stage running ahead: they neither run nor
+    /// save, but their accesses still warm the caches for the tail.
+    stopped: bool,
+    results: Sender<Result<WindowRun, SimError>>,
+    free: Sender<Vec<Access>>,
+}
+
+impl Back<'_> {
+    fn handle(&mut self, msg: Msg) {
+        match msg {
+            Msg::Chunk(mut buf) => {
+                if let Some(w) = &mut self.warm {
+                    for &(addr, is_store, is_local) in &buf {
+                        w.touch(addr, is_store, is_local);
+                    }
+                }
+                buf.clear();
+                let _ = self.free.send(buf);
+            }
+            Msg::Adopt(tags) => {
+                if let Some(w) = &mut self.warm {
+                    w.adopt(&tags);
+                }
+                self.adopted = Some(tags);
+            }
+            Msg::Window { vm, save } => {
+                let adopted = self.adopted.take();
+                if self.stopped {
+                    return;
+                }
+                let tags = adopted.or_else(|| self.warm.as_ref().map(FunctionalWarmup::tags));
+                if let (Some(s), true) = (self.store, save) {
+                    let mut ck = vm.checkpoint(self.keys.program, self.keys.config);
+                    ck.cache_tags = tags.as_ref().map(HierarchyTags::to_bytes);
+                    let _ = s.save(&ck); // best effort
+                }
+                let run = self.sim.run_window(
+                    *vm,
+                    tags.as_ref(),
+                    self.scfg.warmup_insts,
+                    self.scfg.window_insts,
+                );
+                self.stopped = ends_run(&run);
+                let _ = self.results.send(run);
+            }
+        }
     }
-    fast_forward_warming(vm, target - here, warm).map_err(|e| trap_at(vm, e))?;
-    *ff_insts += vm.instructions_executed() - here;
-    Ok(())
+}
+
+/// Host threads a sampled run started on this thread uses: 2 (the caller
+/// and one helper), or 1 when the back stage runs inline. It runs inline
+/// when [`pool::default_workers`] allows a single worker (`DDA_WORKERS=1`
+/// or a 1-CPU host), and on a worker of a [`pool::run_tasks`] that runs
+/// several, whose siblings already take the other CPUs: a DSE sweep of
+/// sampled cells stays one thread per CPU.
+pub fn sampling_threads() -> usize {
+    if pool::in_shared_worker() {
+        1
+    } else {
+        pool::default_workers(2)
+    }
+}
+
+/// Runs `front` against a back stage that `handle`s each message: on one
+/// helper thread when `threaded`, else inline. Returns the front's
+/// outcome and the back stage.
+///
+/// # Panics
+///
+/// Re-raises a panic of the helper, with its payload, once the helper
+/// is joined. The caller cannot block on it: the helper's end of each
+/// channel drops as it unwinds, so sends and receives fail fast.
+fn drive<B: Send>(
+    front: Front<'_>,
+    mut back: B,
+    handle: fn(&mut B, Msg),
+    threaded: bool,
+) -> (Result<Ran, SimError>, B) {
+    if !threaded {
+        let ran = front.run(|msg| {
+            handle(&mut back, msg);
+            true
+        });
+        return (ran, back);
+    }
+    std::thread::scope(|s| {
+        let (tx, rx) = mpsc::sync_channel(DEPTH);
+        let helper = s.spawn(move || {
+            for msg in rx {
+                handle(&mut back, msg);
+            }
+            back
+        });
+        // `run` owns the sender, so the channel closes when it returns and
+        // the helper drains and exits.
+        let ran = front.run(move |msg| tx.send(msg).is_ok());
+        match helper.join() {
+            Ok(back) => (ran, back),
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+    })
+}
+
+/// Instructions between window starts (the tail's position when there
+/// is one window).
+fn spacing(scfg: &SamplingConfig) -> u64 {
+    (scfg.budget / scfg.windows.max(1) as u64).max(1)
+}
+
+/// Whether a window result ends the sampled run: an error, or a window
+/// that halted inside its warm-up prefix.
+fn ends_run(run: &Result<WindowRun, SimError>) -> bool {
+    run.as_ref().map_or(true, |r| r.window.committed == 0)
+}
+
+/// The front stage: the master VM, the store lookups and the
+/// fast-forward, whose accesses it streams to the back stage.
+struct Front<'a> {
+    program: &'a Arc<Program>,
+    scfg: &'a SamplingConfig,
+    store: Option<&'a CheckpointStore>,
+    keys: Keys,
+    vm: Vm,
+    /// Instructions replayed so far.
+    ff_insts: u64,
+    /// The chunk being filled.
+    buf: Vec<Access>,
+    /// Chunks the back stage has emptied, for reuse.
+    free: Receiver<Vec<Access>>,
+    /// Window results, in window order.
+    results: Receiver<Result<WindowRun, SimError>>,
+}
+
+/// What the front stage leaves for the caller.
+struct Ran {
+    windows: Vec<WindowSample>,
+    detailed_insts: u64,
+    vm: Vm,
+    ff_insts: u64,
+    /// Whether the tail position is to be checkpointed with the back
+    /// stage's final tags.
+    save_tail: bool,
+}
+
+impl Front<'_> {
+    /// Drives the run, handing each message to `send`, which returns
+    /// `false` once the back stage is gone. `send` is dropped on return.
+    fn run(mut self, mut send: impl FnMut(Msg) -> bool) -> Result<Ran, SimError> {
+        let k = self.scfg.windows.max(1) as u64;
+        let spacing = spacing(self.scfg);
+        let warming = self.scfg.functional_warmup;
+        // Per window sent: its start and the replay count there.
+        let mut sent: Vec<(u64, u64)> = Vec::new();
+        let mut results = Vec::new();
+        let mut ff_err = None;
+        for i in 0..k {
+            let start = i * spacing;
+            // A stored checkpoint replaces the functional replay to
+            // `start`; restoration teleports the *master*, so later windows
+            // keep fast-forwarding from here and warming resumes from the
+            // checkpointed tags.
+            let restored = self.load(start);
+            let save = restored.is_none() && self.store.is_some();
+            match restored {
+                Some((vm, tags)) => {
+                    // Leaving the replayed stream is only right if no
+                    // window sent so far has ended the run.
+                    if self.settle(&mut results, sent.len()) {
+                        break;
+                    }
+                    self.vm = vm;
+                    if let Some(t) = tags {
+                        self.emit(Msg::Adopt(t), &mut send);
+                    }
+                }
+                None => {
+                    if let Err(e) = self.position(start, warming, &mut send) {
+                        ff_err = Some(e);
+                        break;
+                    }
+                }
+            }
+            if self.vm.is_halted() {
+                break;
+            }
+            sent.push((self.vm.instructions_executed(), self.ff_insts));
+            let vm = Box::new(self.vm.clone());
+            if !self.emit(Msg::Window { vm, save }, &mut send) {
+                break;
+            }
+        }
+        self.settle(&mut results, sent.len());
+
+        let mut windows = Vec::with_capacity(results.len());
+        let mut detailed_insts = 0u64;
+        let mut stop = None;
+        for (run, &(start_inst, ff_at)) in results.into_iter().zip(&sent) {
+            // Window i's error beats any fast-forward error after it.
+            let run = run?;
+            detailed_insts += run.total.committed;
+            if run.window.committed == 0 {
+                // Halted inside the warm-up prefix: the serial loop would
+                // have stopped at this window's start.
+                stop = Some((start_inst, ff_at));
+                break;
+            }
+            windows.push(WindowSample {
+                start_inst,
+                committed: run.window.committed,
+                cycles: run.window.cycles,
+                cpi: run.window.cycles as f64 / run.window.committed as f64,
+                lvc_hit_rate: lvc_hit_rate(&run),
+                port_stalls_per_kinst: (run.window.lsq.port_stall_cycles
+                    + run.window.lvaq.port_stall_cycles)
+                    as f64
+                    / (run.window.committed as f64 / 1000.0),
+            });
+        }
+        let (halted, here) = match stop {
+            Some((start_inst, _)) => (false, start_inst),
+            None => match ff_err.take() {
+                Some(e) => return Err(e),
+                None => (self.vm.is_halted(), self.vm.instructions_executed()),
+            },
+        };
+        // Cover the tail so `halted_early` reflects the whole budget, not
+        // just the last window start. After a stop the master may already
+        // be past `here`, but only along the replayed stream (restores
+        // wait for `settle`), so replaying on from it is the same.
+        let mut save_tail = false;
+        if !halted && self.scfg.budget > here {
+            match self.load(self.scfg.budget) {
+                Some((vm, _)) => {
+                    self.vm = vm;
+                    if let Some((_, ff_at)) = stop {
+                        self.ff_insts = ff_at;
+                    }
+                }
+                None => {
+                    if let Some(e) = ff_err {
+                        return Err(e);
+                    }
+                    if let Some((start_inst, ff_at)) = stop {
+                        self.rewind(start_inst, ff_at, &mut send);
+                    }
+                    // Tail tags matter only to a store that checkpoints
+                    // the tail.
+                    let stream = warming && self.store.is_some();
+                    self.position(self.scfg.budget, stream, &mut send)?;
+                    save_tail = self.store.is_some() && !self.vm.is_halted();
+                }
+            }
+        }
+        self.flush(&mut send);
+        Ok(Ran {
+            windows,
+            detailed_insts,
+            vm: self.vm,
+            ff_insts: self.ff_insts,
+            save_tail,
+        })
+    }
+
+    /// Returns the master to the start of the window that ended the run,
+    /// before a tail the store will checkpoint. Replaying on from a
+    /// master that ran ahead reaches the same state, but a checkpoint
+    /// also records the translation cache's counters, which depend on
+    /// how the replay was split into legs; the serial loop replays the
+    /// tail in one leg from that start. The start was checkpointed when
+    /// its window was sent, so it restores with its tags; when it cannot,
+    /// the master replays on from where it is.
+    fn rewind(&mut self, start_inst: u64, ff_at: u64, send: &mut impl FnMut(Msg) -> bool) {
+        if self.vm.instructions_executed() == start_inst {
+            return;
+        }
+        if let Some((vm, tags)) = self.load(start_inst) {
+            self.vm = vm;
+            self.ff_insts = ff_at;
+            if let Some(t) = tags {
+                self.emit(Msg::Adopt(t), send);
+            }
+        }
+    }
+
+    /// The stored position at `inst`, if the store has a valid one.
+    fn load(&self, inst: u64) -> Option<(Vm, Option<HierarchyTags>)> {
+        let key = self.keys.at(inst);
+        self.store
+            .and_then(|s| load_state(s, &key, self.program, self.scfg.functional_warmup))
+    }
+
+    /// Receives window results until each of the `sent` windows has
+    /// answered or one has ended the run; returns whether the run ended
+    /// (or the back stage is gone).
+    fn settle(&self, results: &mut Vec<Result<WindowRun, SimError>>, sent: usize) -> bool {
+        while results.len() < sent && !results.last().is_some_and(ends_run) {
+            match self.results.recv() {
+                Ok(run) => results.push(run),
+                Err(_) => return true,
+            }
+        }
+        results.last().is_some_and(ends_run)
+    }
+
+    /// Fast-forwards the master to the absolute instruction index
+    /// `target` (no-op when already there or past), streaming its
+    /// accesses when `stream` is set.
+    fn position(
+        &mut self,
+        target: u64,
+        stream: bool,
+        send: &mut impl FnMut(Msg) -> bool,
+    ) -> Result<(), SimError> {
+        let here = self.vm.instructions_executed();
+        if target <= here {
+            return Ok(());
+        }
+        let n = target - here;
+        let res = if stream {
+            let Front { vm, buf, free, .. } = self;
+            vm.fast_forward_observed(n, |d| {
+                if let Some(m) = &d.mem {
+                    buf.push((m.addr, m.is_store, m.is_local()));
+                    if buf.len() == CHUNK {
+                        send(Msg::Chunk(std::mem::replace(buf, fresh(free))));
+                    }
+                }
+            })
+        } else {
+            self.vm.fast_forward(n)
+        };
+        res.map_err(|e| trap_at(&self.vm, e))?;
+        self.ff_insts += self.vm.instructions_executed() - here;
+        Ok(())
+    }
+
+    /// Sends the partly filled chunk, if any.
+    fn flush(&mut self, send: &mut impl FnMut(Msg) -> bool) {
+        if !self.buf.is_empty() {
+            let chunk = std::mem::replace(&mut self.buf, fresh(&self.free));
+            send(Msg::Chunk(chunk));
+        }
+    }
+
+    /// Sends `msg` after the accesses that precede it.
+    fn emit(&mut self, msg: Msg, send: &mut impl FnMut(Msg) -> bool) -> bool {
+        self.flush(send);
+        send(msg)
+    }
+}
+
+/// An empty chunk: a recycled one when the back stage has returned one.
+fn fresh(free: &Receiver<Vec<Access>>) -> Vec<Access> {
+    free.try_recv()
+        .unwrap_or_else(|_| Vec::with_capacity(CHUNK))
 }
 
 /// Loads and validates a stored position: the checkpoint must restore
@@ -714,6 +1069,74 @@ mod tests {
         assert_eq!(ra, rc);
         assert_eq!(a.windows, c.windows);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A front stage over compress with no store, as `sample_program_stored`
+    /// builds it.
+    fn front_over<'a>(
+        program: &'a Arc<Program>,
+        scfg: &'a SamplingConfig,
+        free: Receiver<Vec<Access>>,
+        results: Receiver<Result<WindowRun, SimError>>,
+    ) -> Front<'a> {
+        Front {
+            program,
+            scfg,
+            store: None,
+            keys: Keys {
+                program: 0,
+                config: 0,
+            },
+            vm: Vm::new(Arc::clone(program)),
+            ff_insts: 0,
+            buf: Vec::new(),
+            free,
+            results,
+        }
+    }
+
+    #[test]
+    fn a_back_stage_panic_reraises_at_the_caller() {
+        let program = Arc::new(Benchmark::Compress.program(u32::MAX / 2));
+        // Far more chunks than the channel holds, so the caller would
+        // stay blocked on a full channel if a dead helper left it open.
+        let scfg = SamplingConfig {
+            windows: 2,
+            ..SamplingConfig::for_budget(2_000_000)
+        };
+        for stall_first in [false, true] {
+            // The back stage owns the results sender, as `Back` does, so
+            // its unwinding closes that channel too.
+            let (results_tx, results) = mpsc::channel();
+            let (_free_tx, free) = mpsc::channel();
+            let front = front_over(&program, &scfg, free, results);
+            type Stage = (u32, Sender<Result<WindowRun, SimError>>);
+            let handle: fn(&mut Stage, Msg) = if stall_first {
+                // Panic while the caller waits on a full channel.
+                |(chunks, _), msg| {
+                    if let Msg::Chunk(_) = msg {
+                        *chunks += 1;
+                        if *chunks == 1 {
+                            std::thread::sleep(std::time::Duration::from_millis(100));
+                            return;
+                        }
+                        panic!("back stage failed after {chunks} chunks");
+                    }
+                }
+            } else {
+                |_, _| panic!("back stage failed")
+            };
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                drive(front, (0, results_tx), handle, true)
+            }));
+            let payload = caught.err().expect("the helper's panic re-raises");
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default();
+            assert!(msg.starts_with("back stage failed"), "payload {msg:?}");
+        }
     }
 
     #[test]

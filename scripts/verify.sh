@@ -58,6 +58,15 @@ cargo test -q
 echo "== workspace tests: cargo test --workspace -q"
 cargo test --workspace -q
 
+# A sampled run's back stage (cache warming and detailed windows) runs
+# on a helper thread, or inline on the caller when DDA_WORKERS=1. The
+# override is read once per process, so the sampling tests run a second
+# time under it to cover the inline path.
+echo "== sampling tests, inline back stage (DDA_WORKERS=1)"
+DDA_WORKERS=1 cargo test -q --test sampling_pipeline --test checkpoint_roundtrip \
+    --test kernel_canary
+DDA_WORKERS=1 cargo test -q -p dda-bench --lib sampling
+
 echo "== fmt: cargo fmt --check"
 cargo fmt --check
 
