@@ -11,7 +11,7 @@
 //! Two gates guard the campaign:
 //!
 //! 1. **Containment** — no run may abort the host. Every simulation is
-//!    wrapped in `catch_unwind`; any panic fails the campaign.
+//!    wrapped in `campaign::contained_run`; any panic fails the campaign.
 //! 2. **Non-interference** — under [`FaultPlan::none`] the incremental
 //!    kernel must stay bit-identical to the rescan reference kernel,
 //!    and turning the auditor on must not change any counter. Fault

@@ -28,7 +28,6 @@
 //! compaction that strips the nops under a monotone pc remap — each step
 //! re-validated against the divergence predicate.
 
-use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -44,17 +43,6 @@ use crate::pool;
 
 // ---------------------------------------------------------- containment --
 
-/// Extracts a printable message from a caught panic payload.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Runs one configuration over `program` with a panic backstop: a panic
 /// that escapes the typed error model comes back as
 /// [`SimError::WorkerPanic`] instead of unwinding the caller — the exact
@@ -67,13 +55,12 @@ pub fn contained_run(
 ) -> Result<Box<SimResult>, SimError> {
     let cfg = cfg.clone();
     let program = Arc::clone(program);
-    let caught = panic::catch_unwind(AssertUnwindSafe(move || {
+    match pool::catch_panic(move || {
         Simulator::new(cfg).and_then(|sim| sim.run_shared(program, budget))
-    }));
-    match caught {
+    }) {
         Ok(Ok(res)) => Ok(Box::new(res)),
         Ok(Err(e)) => Err(e),
-        Err(payload) => Err(SimError::WorkerPanic(panic_message(payload.as_ref()))),
+        Err(msg) => Err(SimError::WorkerPanic(msg)),
     }
 }
 
@@ -495,10 +482,9 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
         .into_iter()
         .map(|r| match r {
             Ok(run) => run,
-            Err(payload) => {
+            Err(msg) => {
                 // The whole task escaped (outside contained_run): count
                 // it as a panic on both sides.
-                let msg = panic_message(payload.as_ref());
                 InputRun {
                     coverage: CoverageMap::new(),
                     diff: Differential {

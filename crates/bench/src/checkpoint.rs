@@ -1,4 +1,5 @@
-//! Content-addressed on-disk checkpoint store.
+//! Content-addressed on-disk checkpoints: fingerprints and the
+//! [`CheckpointStore`].
 //!
 //! A [`dda_vm::Checkpoint`] is addressed by its
 //! [`CheckpointKey`] — `(program fingerprint, instruction index, config
@@ -12,13 +13,12 @@
 //! `Hasher` whose output may change across releases — file names are a
 //! format commitment.
 
-use std::io;
-use std::path::{Path, PathBuf};
-
 use dda_core::MachineConfig;
 use dda_program::Program;
 use dda_stats::fnv1a64;
 use dda_vm::{Checkpoint, CheckpointKey};
+
+use crate::store::{Record, Store};
 
 /// Stable content fingerprint of a program (its assembly rendering).
 pub fn program_fingerprint(p: &Program) -> u64 {
@@ -32,98 +32,31 @@ pub fn config_fingerprint(cfg: &MachineConfig) -> u64 {
     fnv1a64(format!("{:?}", cfg.hierarchy).as_bytes())
 }
 
-/// A directory of serialized checkpoints, one file per key.
-#[derive(Clone, Debug)]
-pub struct CheckpointStore {
-    dir: PathBuf,
-}
+/// A directory of serialized checkpoints, one file per key
+/// (`ckpt_<program>_<inst>_<config>.bin`).
+pub type CheckpointStore = Store<Checkpoint>;
 
-impl CheckpointStore {
-    /// Opens (creating if needed) a store rooted at `dir`.
-    ///
-    /// # Errors
-    ///
-    /// An [`io::Error`] when the directory cannot be created.
-    pub fn open(dir: impl Into<PathBuf>) -> io::Result<CheckpointStore> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        Ok(CheckpointStore { dir })
-    }
+impl Record for Checkpoint {
+    type Key = CheckpointKey;
+    const PREFIX: &'static str = "ckpt_";
 
-    /// The store's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The file a key maps to (exists or not).
-    pub fn path_for(&self, key: &CheckpointKey) -> PathBuf {
-        self.dir.join(format!(
-            "ckpt_{:016x}_{:012}_{:016x}.bin",
+    fn file_stem(key: CheckpointKey) -> String {
+        format!(
+            "{:016x}_{:012}_{:016x}",
             key.program_hash, key.inst_index, key.config_hash
-        ))
+        )
     }
 
-    /// Serializes `ck` under its key. Overwrites silently — content
-    /// addressing makes a collision a re-save of identical state.
-    ///
-    /// # Errors
-    ///
-    /// An [`io::Error`] when the file cannot be written.
-    pub fn save(&self, ck: &Checkpoint) -> io::Result<PathBuf> {
-        let path = self.path_for(&ck.key);
-        std::fs::write(&path, ck.to_bytes())?;
-        Ok(path)
+    fn encode(&self) -> Vec<u8> {
+        self.to_bytes()
     }
 
-    /// Loads the checkpoint for `key`; `Ok(None)` when absent.
-    ///
-    /// # Errors
-    ///
-    /// An [`io::Error`] on a read failure, or one of kind
-    /// [`io::ErrorKind::InvalidData`] when the file exists but fails to
-    /// decode (truncated or corrupt).
-    pub fn load(&self, key: &CheckpointKey) -> io::Result<Option<Checkpoint>> {
-        let path = self.path_for(key);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        let ck = Checkpoint::from_bytes(&bytes)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        if ck.key != *key {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("checkpoint at {} carries a different key", path.display()),
-            ));
-        }
-        Ok(Some(ck))
+    fn decode(bytes: &[u8]) -> Result<Checkpoint, String> {
+        Checkpoint::from_bytes(bytes).map_err(|e| e.to_string())
     }
 
-    /// Number of checkpoint files currently in the store.
-    ///
-    /// # Errors
-    ///
-    /// An [`io::Error`] when the directory cannot be read.
-    pub fn len(&self) -> io::Result<usize> {
-        let mut n = 0;
-        for entry in std::fs::read_dir(&self.dir)? {
-            let name = entry?.file_name();
-            let name = name.to_string_lossy();
-            if name.starts_with("ckpt_") && name.ends_with(".bin") {
-                n += 1;
-            }
-        }
-        Ok(n)
-    }
-
-    /// Whether the store holds no checkpoints.
-    ///
-    /// # Errors
-    ///
-    /// As for [`CheckpointStore::len`].
-    pub fn is_empty(&self) -> io::Result<bool> {
-        Ok(self.len()? == 0)
+    fn belongs_to(&self, key: CheckpointKey) -> bool {
+        self.key == key
     }
 }
 
@@ -132,6 +65,8 @@ mod tests {
     use super::*;
     use dda_vm::Vm;
     use dda_workloads::Benchmark;
+    use std::io;
+    use std::path::PathBuf;
     use std::sync::Arc;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -150,14 +85,16 @@ mod tests {
         let mut vm = Vm::new(Arc::clone(&program));
         vm.fast_forward(10_000).unwrap();
         let ck = vm.checkpoint(phash, 0);
-        let path = store.save(&ck).unwrap();
-        assert!(path
-            .file_name()
-            .unwrap()
-            .to_string_lossy()
-            .contains("000000010000"));
+        let path = store.save(ck.key, &ck).unwrap();
+        assert_eq!(
+            path.file_name().unwrap().to_string_lossy(),
+            format!(
+                "ckpt_{phash:016x}_000000010000_{:016x}.bin",
+                ck.key.config_hash
+            )
+        );
 
-        let loaded = store.load(&ck.key).unwrap().expect("present");
+        let loaded = store.load(ck.key).unwrap().expect("present");
         let restored = Vm::restore(Arc::clone(&program), &loaded).unwrap();
         assert_eq!(restored.instructions_executed(), 10_000);
         assert_eq!(restored.pc(), vm.pc());
@@ -175,8 +112,13 @@ mod tests {
             inst_index: 999,
             ..ck.key
         };
-        assert!(store.load(&missing).unwrap().is_none());
+        assert!(store.load(missing).unwrap().is_none());
         assert_eq!(store.len().unwrap(), 1);
+
+        // A checkpoint filed under another key is rejected, not served.
+        store.save(missing, &ck).unwrap();
+        let err = store.load(missing).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -189,8 +131,8 @@ mod tests {
             inst_index: 2,
             config_hash: 3,
         };
-        std::fs::write(store.path_for(&key), b"not a checkpoint").unwrap();
-        let err = store.load(&key).unwrap_err();
+        std::fs::write(store.path_for(key), b"not a checkpoint").unwrap();
+        let err = store.load(key).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let _ = std::fs::remove_dir_all(&dir);
     }

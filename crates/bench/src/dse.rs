@@ -14,12 +14,13 @@
 //!    dse_cache.rs` enforces this over randomized matrices, fault-RNG
 //!    draw order included);
 //! 2. a **job engine** on [`pool::run_tasks`]: a [`DseRequest`] expands
-//!    to a deduplicated cell list, cache hits stream back immediately,
+//!    to a deduplicated cell list, cache hits load without simulating,
 //!    and only the misses are simulated (panic-isolated, sharing one
 //!    [`CheckpointStore`] of fast-forward positions across workers);
-//! 3. a **line-delimited TCP service** ([`serve`]): the `dse_server`
-//!    binary keeps the stores warm across processes, and the `dse`
-//!    client renders the figure table as `CELL` lines arrive.
+//! 3. an **in-process library**: [`DseService::run_cells`] and
+//!    [`DseService::run_request`] return one [`CellReport`] per cell, in
+//!    cell order, and a persistent store directory keeps results warm
+//!    across processes.
 //!
 //! The cache key deliberately includes a kernel version: any change to
 //! the simulator that may alter counters bumps [`KERNEL_VERSION`] and
@@ -27,11 +28,6 @@
 //! to misses too — the store is a cache, never a source of truth.
 
 use std::collections::{HashMap, HashSet};
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -42,9 +38,8 @@ use dda_workloads::Benchmark;
 
 use crate::checkpoint::{program_fingerprint, CheckpointStore};
 use crate::pool;
-use crate::sampling::{
-    sample_program_adaptive, Confidence, Estimate, SamplingConfig, WindowSample,
-};
+use crate::sampling::{sample_program_adaptive, Estimate, SamplingConfig, WindowSample};
+use crate::store::{Record, Store};
 
 /// Version of the simulation kernel as far as *cached results* are
 /// concerned. Part of every [`result_key`]: bump it whenever a simulator
@@ -52,10 +47,6 @@ use crate::sampling::{
 /// becomes an automatic miss. (Wall-clock-only changes — schedulers
 /// proven bit-identical, pool sizing, logging — do not bump it.)
 pub const KERNEL_VERSION: u32 = 1;
-
-/// Default committed-instruction budget for service requests that name
-/// none.
-pub const DEFAULT_BUDGET: u64 = 30_000;
 
 /// Default workload scale ("seed") — the same `u32::MAX / 2` every other
 /// driver in the tree uses, so DSE results share checkpoints with them.
@@ -274,137 +265,30 @@ impl CellOutcome {
         }
         Ok(out)
     }
-
-    /// Headline CPI of the cell (mean CPI for sampled cells).
-    pub fn cpi(&self) -> f64 {
-        match self {
-            CellOutcome::Full(r) => {
-                if r.committed == 0 {
-                    0.0
-                } else {
-                    r.cycles as f64 / r.committed as f64
-                }
-            }
-            CellOutcome::Sampled(s) => s.cpi.mean,
-        }
-    }
-
-    /// Confidence half-width on the CPI (0 for full runs — they are
-    /// exact).
-    pub fn cpi_half_width(&self) -> f64 {
-        match self {
-            CellOutcome::Full(_) => 0.0,
-            CellOutcome::Sampled(s) => s.cpi.half_width,
-        }
-    }
-
-    /// Instructions this measurement covers: committed for full runs,
-    /// detailed (warm-ups included) for sampled ones.
-    pub fn measured_insts(&self) -> u64 {
-        match self {
-            CellOutcome::Full(r) => r.committed,
-            CellOutcome::Sampled(s) => s.detailed_insts,
-        }
-    }
-
-    /// `"full"` or `"sampled"` — the wire-protocol kind token.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            CellOutcome::Full(_) => "full",
-            CellOutcome::Sampled(_) => "sampled",
-        }
-    }
 }
 
 // ------------------------------------------------------- result store --
 
 /// A directory of serialized [`CellOutcome`]s, one file per
-/// [`result_key`] — the same shape as [`CheckpointStore`], with the same
-/// commitments: stable file names, magic + version words in the bytes,
-/// corrupt files surfacing as [`io::ErrorKind::InvalidData`] (which the
-/// engine treats as a miss, never as an answer).
-#[derive(Clone, Debug)]
-pub struct ResultStore {
-    dir: PathBuf,
-}
+/// [`result_key`] (`res_<key>.bin`). A corrupt record loads as
+/// [`std::io::ErrorKind::InvalidData`], which the engine treats as a
+/// miss, never as an answer.
+pub type ResultStore = Store<CellOutcome>;
 
-impl ResultStore {
-    /// Opens (creating if needed) a store rooted at `dir`.
-    ///
-    /// # Errors
-    ///
-    /// An [`io::Error`] when the directory cannot be created.
-    pub fn open(dir: impl Into<PathBuf>) -> io::Result<ResultStore> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        Ok(ResultStore { dir })
+impl Record for CellOutcome {
+    type Key = u64;
+    const PREFIX: &'static str = "res_";
+
+    fn file_stem(key: u64) -> String {
+        format!("{key:016x}")
     }
 
-    /// The store's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    fn encode(&self) -> Vec<u8> {
+        self.to_bytes()
     }
 
-    /// The file a key maps to (exists or not).
-    pub fn path_for(&self, key: u64) -> PathBuf {
-        self.dir.join(format!("res_{key:016x}.bin"))
-    }
-
-    /// Persists `outcome` under `key`. Overwrites silently — content
-    /// addressing makes a collision a re-save of identical bytes.
-    ///
-    /// # Errors
-    ///
-    /// An [`io::Error`] when the file cannot be written.
-    pub fn save(&self, key: u64, outcome: &CellOutcome) -> io::Result<PathBuf> {
-        let path = self.path_for(key);
-        std::fs::write(&path, outcome.to_bytes())?;
-        Ok(path)
-    }
-
-    /// Loads the outcome for `key`; `Ok(None)` when absent.
-    ///
-    /// # Errors
-    ///
-    /// An [`io::Error`] on a read failure, or one of kind
-    /// [`io::ErrorKind::InvalidData`] when the file exists but fails to
-    /// decode.
-    pub fn load(&self, key: u64) -> io::Result<Option<CellOutcome>> {
-        let path = self.path_for(key);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        let out = CellOutcome::from_bytes(&bytes)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        Ok(Some(out))
-    }
-
-    /// Number of result records currently in the store.
-    ///
-    /// # Errors
-    ///
-    /// An [`io::Error`] when the directory cannot be read.
-    pub fn len(&self) -> io::Result<usize> {
-        let mut n = 0;
-        for entry in std::fs::read_dir(&self.dir)? {
-            let name = entry?.file_name();
-            let name = name.to_string_lossy();
-            if name.starts_with("res_") && name.ends_with(".bin") {
-                n += 1;
-            }
-        }
-        Ok(n)
-    }
-
-    /// Whether the store holds no records.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ResultStore::len`].
-    pub fn is_empty(&self) -> io::Result<bool> {
-        Ok(self.len()? == 0)
+    fn decode(bytes: &[u8]) -> Result<CellOutcome, String> {
+        CellOutcome::from_bytes(bytes).map_err(|e| e.to_string())
     }
 }
 
@@ -413,7 +297,7 @@ impl ResultStore {
 /// One point of the design space: a benchmark under a configuration.
 /// Requests expand to these; tests may also construct them directly
 /// (e.g. with a fault plan in `cfg`) and hand them to
-/// [`DseService::run_streaming`].
+/// [`DseService::run_cells`].
 #[derive(Clone, Debug)]
 pub struct DseCell {
     /// The workload.
@@ -421,7 +305,7 @@ pub struct DseCell {
     /// The machine. Any configuration is legal here, including fault
     /// plans — the cache key covers every result-affecting field.
     pub cfg: MachineConfig,
-    /// Display label (no whitespace; it travels in `CELL` lines).
+    /// Display label (no whitespace).
     pub label: String,
 }
 
@@ -447,184 +331,7 @@ pub struct DseRequest {
     pub plan: RunPlan,
 }
 
-fn bench_from_name(s: &str) -> Option<Benchmark> {
-    Benchmark::ALL
-        .into_iter()
-        .find(|b| b.name() == s || b.name().split('.').nth(1) == Some(s))
-}
-
-fn parse_list<T, E>(v: &str, f: impl Fn(&str) -> Result<T, E>) -> Result<Vec<T>, E> {
-    v.split(',').filter(|s| !s.is_empty()).map(f).collect()
-}
-
 impl DseRequest {
-    /// Parses the one-line wire form produced by [`DseRequest::to_line`]:
-    ///
-    /// ```text
-    /// DSE v1 benches=compress,li grid=2+0,4+2 comb=2 ff=1 seed=N \
-    ///     plan=full budget=30000
-    /// DSE v1 benches=vortex grid=4+2 plan=sampled budget=60000 \
-    ///     windows=8 window=4000 warmup=2000 conf=95 fwarm=1 \
-    ///     adaptive=0.05 maxwin=64
-    /// ```
-    ///
-    /// `benches` and `grid` are required; everything else defaults
-    /// (combining 2 and fast forwarding on — the paper's recommended
-    /// design point — seed [`DEFAULT_SEED`], a full run at
-    /// [`DEFAULT_BUDGET`]).
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message naming the first malformed token.
-    pub fn parse(line: &str) -> Result<DseRequest, String> {
-        let mut toks = line.split_whitespace();
-        if toks.next() != Some("DSE") || toks.next() != Some("v1") {
-            return Err("request must open with 'DSE v1'".into());
-        }
-        let mut kv: HashMap<&str, &str> = HashMap::new();
-        for t in toks {
-            let (k, v) = t
-                .split_once('=')
-                .ok_or_else(|| format!("malformed token '{t}' (expected key=value)"))?;
-            kv.insert(k, v);
-        }
-        let benches = parse_list(kv.get("benches").ok_or("missing benches=")?, |s| {
-            bench_from_name(s).ok_or_else(|| format!("unknown benchmark '{s}'"))
-        })?;
-        if benches.is_empty() {
-            return Err("benches= names no benchmarks".into());
-        }
-        let grid = parse_list(kv.get("grid").ok_or("missing grid=")?, |s| {
-            let (n, m) = s
-                .split_once('+')
-                .ok_or_else(|| format!("malformed grid point '{s}' (expected N+M)"))?;
-            let n: u32 = n.parse().map_err(|_| format!("bad port count '{n}'"))?;
-            let m: u32 = m.parse().map_err(|_| format!("bad port count '{m}'"))?;
-            if n == 0 {
-                return Err(format!("grid point '{s}' has zero L1 ports"));
-            }
-            Ok((n, m))
-        })?;
-        if grid.is_empty() {
-            return Err("grid= names no points".into());
-        }
-        let num = |k: &str, default: u64| -> Result<u64, String> {
-            match kv.get(k) {
-                Some(v) => v.parse().map_err(|_| format!("bad {k}= value '{v}'")),
-                None => Ok(default),
-            }
-        };
-        let combining = match kv.get("comb") {
-            Some(v) => parse_list(v, |s| {
-                s.parse::<u32>()
-                    .map_err(|_| format!("bad comb value '{s}'"))
-            })?,
-            None => vec![2],
-        };
-        let fast_forward = match kv.get("ff") {
-            Some(v) => parse_list(v, |s| match s {
-                "0" => Ok(false),
-                "1" => Ok(true),
-                _ => Err(format!("bad ff value '{s}' (expected 0 or 1)")),
-            })?,
-            None => vec![true],
-        };
-        let lvc_bytes = match kv.get("lvc") {
-            Some(v) => Some(
-                v.parse::<u32>()
-                    .map_err(|_| format!("bad lvc= value '{v}'"))?,
-            ),
-            None => None,
-        };
-        let seed = num("seed", u64::from(DEFAULT_SEED))? as u32;
-        let budget = num("budget", DEFAULT_BUDGET)?;
-        let windows = num("windows", 0)? as usize;
-        let plan = if kv.get("plan").copied() == Some("sampled") || windows > 0 {
-            let conf = num("conf", 95)? as u32;
-            let confidence = Confidence::from_percent(conf)
-                .ok_or_else(|| format!("bad conf= value '{conf}' (expected 90/95/99)"))?;
-            let adaptive = match kv.get("adaptive") {
-                Some(v) => {
-                    let f: f64 = v
-                        .parse()
-                        .map_err(|_| format!("bad adaptive= value '{v}'"))?;
-                    (f > 0.0).then_some(f)
-                }
-                None => None,
-            };
-            RunPlan::Sampled(SamplingConfig {
-                windows: windows.max(2),
-                window_insts: num("window", 4_000)?,
-                warmup_insts: num("warmup", 2_000)?,
-                budget,
-                confidence,
-                functional_warmup: num("fwarm", 1)? != 0,
-                adaptive_target: adaptive,
-                max_windows: num("maxwin", 64)? as usize,
-            })
-        } else {
-            RunPlan::Full { budget }
-        };
-        Ok(DseRequest {
-            benches,
-            grid,
-            combining: if combining.is_empty() {
-                vec![2]
-            } else {
-                combining
-            },
-            fast_forward: if fast_forward.is_empty() {
-                vec![true]
-            } else {
-                fast_forward
-            },
-            lvc_bytes,
-            seed,
-            plan,
-        })
-    }
-
-    /// Renders the one-line wire form [`DseRequest::parse`] reads back.
-    pub fn to_line(&self) -> String {
-        let benches: Vec<&str> = self.benches.iter().map(|b| b.name()).collect();
-        let grid: Vec<String> = self.grid.iter().map(|(n, m)| format!("{n}+{m}")).collect();
-        let comb: Vec<String> = self.combining.iter().map(|c| c.to_string()).collect();
-        let ff: Vec<&str> = self
-            .fast_forward
-            .iter()
-            .map(|f| if *f { "1" } else { "0" })
-            .collect();
-        let mut line = format!(
-            "DSE v1 benches={} grid={} comb={} ff={} seed={}",
-            benches.join(","),
-            grid.join(","),
-            comb.join(","),
-            ff.join(","),
-            self.seed
-        );
-        if let Some(b) = self.lvc_bytes {
-            line.push_str(&format!(" lvc={b}"));
-        }
-        match &self.plan {
-            RunPlan::Full { budget } => line.push_str(&format!(" plan=full budget={budget}")),
-            RunPlan::Sampled(s) => {
-                line.push_str(&format!(
-                    " plan=sampled budget={} windows={} window={} warmup={} conf={} fwarm={}",
-                    s.budget,
-                    s.windows,
-                    s.window_insts,
-                    s.warmup_insts,
-                    s.confidence.percent(),
-                    if s.functional_warmup { 1 } else { 0 }
-                ));
-                if let Some(t) = s.adaptive_target {
-                    line.push_str(&format!(" adaptive={t} maxwin={}", s.max_windows));
-                }
-            }
-        }
-        line
-    }
-
     /// Expands the matrix into concrete cells, deduplicated by
     /// result-affecting content: an `M == 0` point appears once per
     /// benchmark no matter how many combining/forwarding settings are
@@ -688,18 +395,7 @@ pub enum CellStatus {
     Error(String),
 }
 
-impl CellStatus {
-    /// The wire-protocol status token.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            CellStatus::Hit => "hit",
-            CellStatus::Miss => "miss",
-            CellStatus::Error(_) => "error",
-        }
-    }
-}
-
-/// One streamed per-cell result.
+/// One cell's result.
 #[derive(Clone, Debug)]
 pub struct CellReport {
     /// Index into the expanded cell list.
@@ -766,16 +462,6 @@ pub fn compute_cell(
     }
 }
 
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panicked".to_string()
-    }
-}
-
 /// The memoized DSE engine: a [`ResultStore`] of finished measurements,
 /// an optional [`CheckpointStore`] of fast-forward positions shared by
 /// every sampled-cell worker, and the kernel version stamped into cache
@@ -805,31 +491,25 @@ impl DseService {
         self
     }
 
-    /// The kernel version stamped into this service's cache keys.
-    pub fn kernel_version(&self) -> u32 {
-        self.kernel_version
-    }
-
     /// The underlying result store.
     pub fn results(&self) -> &ResultStore {
         &self.results
     }
 
-    /// Runs `cells` under `plan`, invoking `emit` once per cell as its
-    /// result becomes available: store hits first (in cell order, no
-    /// simulation), then misses as the pool finishes them (completion
-    /// order, each saved to the store). A failing or panicking cell
-    /// emits [`CellStatus::Error`] and never takes down its siblings.
+    /// Runs `cells` under `plan` and returns one report per cell, in
+    /// cell order. Store hits load without simulating; misses run on the
+    /// pool and are saved to the store. A failing or panicking cell
+    /// reports [`CellStatus::Error`], is never saved, and never takes
+    /// down its siblings.
     ///
     /// Corrupt store records are treated as misses: the cell is
     /// recomputed fresh and the good bytes overwrite the bad ones.
-    pub fn run_streaming(
+    pub fn run_cells(
         &self,
         cells: &[DseCell],
         seed: u32,
         plan: &RunPlan,
-        emit: &mut dyn FnMut(CellReport),
-    ) -> DseSummary {
+    ) -> (Vec<CellReport>, DseSummary) {
         let t0 = Instant::now();
         // One shared program image (and fingerprint) per distinct
         // benchmark, regardless of how many cells use it.
@@ -841,212 +521,80 @@ impl DseService {
                 (p, h)
             });
         }
+        // Absent, corrupt, or unreadable records are misses: recompute.
+        let probes: Vec<(u64, Option<CellOutcome>)> = cells
+            .iter()
+            .map(|c| {
+                let phash = programs[&c.bench].1;
+                let key = result_key(self.kernel_version, &c.cfg, phash, seed, plan);
+                (key, self.results.load(key).ok().flatten())
+            })
+            .collect();
+        let checkpoints = self.checkpoints.as_ref();
+        let tasks: Vec<_> = cells
+            .iter()
+            .zip(&probes)
+            .filter(|(_, (_, hit))| hit.is_none())
+            .map(|(cell, &(key, _))| {
+                let program = Arc::clone(&programs[&cell.bench].0);
+                move || {
+                    let res = compute_cell(&cell.cfg, program, plan, checkpoints);
+                    if let Ok((outcome, _)) = &res {
+                        let _ = self.results.save(key, outcome); // best effort
+                    }
+                    res
+                }
+            })
+            .collect();
+        let workers = pool::default_workers(tasks.len());
+        let mut computed = pool::run_tasks(tasks, workers).into_iter();
         let mut summary = DseSummary {
             cells: cells.len(),
             ..DseSummary::default()
         };
-        let mut misses: Vec<(usize, u64, &DseCell, Arc<Program>)> = Vec::new();
-        for (i, cell) in cells.iter().enumerate() {
-            let (program, phash) = &programs[&cell.bench];
-            let key = result_key(self.kernel_version, &cell.cfg, *phash, seed, plan);
-            match self.results.load(key) {
-                Ok(Some(outcome)) => {
-                    summary.hits += 1;
-                    emit(CellReport {
-                        index: i,
-                        label: cell.label.clone(),
-                        key,
-                        status: CellStatus::Hit,
-                        outcome: Some(outcome),
-                        sim_insts: 0,
-                    });
+        let reports = cells
+            .iter()
+            .zip(probes)
+            .enumerate()
+            .map(|(index, (cell, (key, hit)))| {
+                let (status, outcome, sim_insts) = match hit {
+                    Some(outcome) => (CellStatus::Hit, Some(outcome), 0),
+                    None => match computed.next().expect("one pool result per miss") {
+                        Ok(Ok((outcome, insts))) => (CellStatus::Miss, Some(outcome), insts),
+                        Ok(Err(e)) => (CellStatus::Error(e.to_string()), None, 0),
+                        Err(msg) => (CellStatus::Error(msg), None, 0),
+                    },
+                };
+                match status {
+                    CellStatus::Hit => summary.hits += 1,
+                    CellStatus::Miss => summary.misses += 1,
+                    CellStatus::Error(_) => summary.errors += 1,
                 }
-                // Absent, corrupt, or unreadable: recompute.
-                Ok(None) | Err(_) => misses.push((i, key, cell, Arc::clone(program))),
-            }
-        }
-        let (tx, rx) = mpsc::channel();
-        let checkpoints = self.checkpoints.as_ref();
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                let tasks: Vec<_> = misses
-                    .into_iter()
-                    .map(|(i, key, cell, program)| {
-                        let tx = tx.clone();
-                        let plan = plan.clone();
-                        move || {
-                            // Catch the panic here (not just at the pool
-                            // boundary) so every cell sends *something*
-                            // and the receiver never waits on a lost
-                            // index.
-                            let out = catch_unwind(AssertUnwindSafe(|| {
-                                compute_cell(&cell.cfg, program, &plan, checkpoints)
-                            }));
-                            let res = match out {
-                                Ok(Ok(v)) => Ok(v),
-                                Ok(Err(e)) => Err(e.to_string()),
-                                Err(p) => Err(panic_text(p.as_ref())),
-                            };
-                            let _ = tx.send((i, key, cell.label.clone(), res));
-                        }
-                    })
-                    .collect();
-                drop(tx); // workers hold the remaining senders
-                let workers = pool::default_workers(tasks.len());
-                pool::run_tasks(tasks, workers);
-            });
-            for (i, key, label, res) in rx {
-                match res {
-                    Ok((outcome, insts)) => {
-                        let _ = self.results.save(key, &outcome); // best effort
-                        summary.misses += 1;
-                        summary.sim_insts += insts;
-                        emit(CellReport {
-                            index: i,
-                            label,
-                            key,
-                            status: CellStatus::Miss,
-                            outcome: Some(outcome),
-                            sim_insts: insts,
-                        });
-                    }
-                    Err(msg) => {
-                        summary.errors += 1;
-                        emit(CellReport {
-                            index: i,
-                            label,
-                            key,
-                            status: CellStatus::Error(msg.clone()),
-                            outcome: None,
-                            sim_insts: 0,
-                        });
-                    }
+                summary.sim_insts += sim_insts;
+                CellReport {
+                    index,
+                    label: cell.label.clone(),
+                    key,
+                    status,
+                    outcome,
+                    sim_insts,
                 }
-            }
-        });
+            })
+            .collect();
         summary.host_secs = t0.elapsed().as_secs_f64();
-        summary
-    }
-
-    /// [`DseService::run_streaming`] over a parsed request's expansion,
-    /// discarding per-cell reports — the convenience tests and warm-up
-    /// passes use.
-    pub fn run_request(&self, req: &DseRequest) -> (Vec<CellReport>, DseSummary) {
-        let cells = req.expand();
-        let mut reports = Vec::with_capacity(cells.len());
-        let summary = self.run_streaming(&cells, req.seed, &req.plan, &mut |r| reports.push(r));
         (reports, summary)
     }
-}
 
-// ------------------------------------------------------ wire protocol --
-
-/// Renders one `CELL` protocol line.
-pub fn cell_line(rep: &CellReport) -> String {
-    let mut line = format!(
-        "CELL i={} status={} key={:016x} label={}",
-        rep.index,
-        rep.status.as_str(),
-        rep.key,
-        rep.label
-    );
-    match (&rep.status, &rep.outcome) {
-        (CellStatus::Error(msg), _) => {
-            line.push_str(&format!(" msg={msg}"));
-        }
-        (_, Some(out)) => {
-            line.push_str(&format!(
-                " kind={} cpi={:.6} ci={:.6} insts={} sim={}",
-                out.kind(),
-                out.cpi(),
-                out.cpi_half_width(),
-                out.measured_insts(),
-                rep.sim_insts
-            ));
-        }
-        (_, None) => {}
+    /// [`DseService::run_cells`] over a request's expansion.
+    pub fn run_request(&self, req: &DseRequest) -> (Vec<CellReport>, DseSummary) {
+        self.run_cells(&req.expand(), req.seed, &req.plan)
     }
-    line
-}
-
-fn handle_conn(stream: TcpStream, svc: &DseService) -> io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut out = stream;
-    writeln!(out, "HELLO dse v1 kernel={}", svc.kernel_version())?;
-    out.flush()?;
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Ok(()); // client hung up before sending a request
-    }
-    let req = match DseRequest::parse(line.trim()) {
-        Ok(r) => r,
-        Err(msg) => {
-            writeln!(out, "ERR {msg}")?;
-            return out.flush();
-        }
-    };
-    let cells = req.expand();
-    // Stream each CELL line as its result lands; an I/O failure
-    // (client gone) stops writing but lets the engine finish, so the
-    // store still absorbs every computed result.
-    let mut io_err: Option<io::Error> = None;
-    let summary = svc.run_streaming(&cells, req.seed, &req.plan, &mut |rep| {
-        if io_err.is_some() {
-            return;
-        }
-        let r = writeln!(out, "{}", cell_line(&rep)).and_then(|()| out.flush());
-        if let Err(e) = r {
-            io_err = Some(e);
-        }
-    });
-    if let Some(e) = io_err {
-        return Err(e);
-    }
-    writeln!(
-        out,
-        "DONE cells={} hits={} misses={} errors={} sim_insts={} secs={:.3}",
-        summary.cells,
-        summary.hits,
-        summary.misses,
-        summary.errors,
-        summary.sim_insts,
-        summary.host_secs
-    )?;
-    out.flush()
-}
-
-/// Serves line-delimited DSE requests on `listener`, one connection at a
-/// time: `HELLO` greeting, one request line in, streamed `CELL` lines
-/// and a final `DONE` (or `ERR`) out. Stops after `max_conns`
-/// connections when given (the smoke-test shape); serves forever
-/// otherwise. A connection-level I/O error is logged and the next
-/// connection served.
-///
-/// # Errors
-///
-/// An [`io::Error`] from accepting on the listener itself.
-pub fn serve(listener: &TcpListener, svc: &DseService, max_conns: Option<usize>) -> io::Result<()> {
-    let mut served = 0usize;
-    for stream in listener.incoming() {
-        match stream {
-            Ok(s) => {
-                if let Err(e) = handle_conn(s, svc) {
-                    eprintln!("[dse_server] connection error: {e}");
-                }
-            }
-            Err(e) => return Err(e),
-        }
-        served += 1;
-        if max_conns.is_some_and(|m| served >= m) {
-            break;
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("dda-dse-{tag}-{}", std::process::id()));
@@ -1063,66 +611,6 @@ mod tests {
             lvc_bytes: None,
             seed: DEFAULT_SEED,
             plan: RunPlan::Full { budget: 4_000 },
-        }
-    }
-
-    #[test]
-    fn request_line_round_trips() {
-        let req = DseRequest {
-            benches: vec![Benchmark::Compress, Benchmark::Li],
-            grid: vec![(2, 0), (4, 2)],
-            combining: vec![1, 2],
-            fast_forward: vec![false, true],
-            lvc_bytes: Some(4096),
-            seed: 7,
-            plan: RunPlan::Sampled(SamplingConfig {
-                windows: 4,
-                window_insts: 1_000,
-                warmup_insts: 500,
-                budget: 40_000,
-                confidence: Confidence::C99,
-                functional_warmup: true,
-                adaptive_target: Some(0.05),
-                max_windows: 16,
-            }),
-        };
-        let line = req.to_line();
-        let back = DseRequest::parse(&line).expect("round trip parses");
-        assert_eq!(back.to_line(), line);
-        assert_eq!(back.benches, req.benches);
-        assert_eq!(back.grid, req.grid);
-        assert_eq!(back.combining, req.combining);
-        assert_eq!(back.fast_forward, req.fast_forward);
-        assert_eq!(back.lvc_bytes, req.lvc_bytes);
-        assert_eq!(back.seed, req.seed);
-        match (&back.plan, &req.plan) {
-            (RunPlan::Sampled(a), RunPlan::Sampled(b)) => {
-                assert_eq!(a.windows, b.windows);
-                assert_eq!(a.adaptive_target, b.adaptive_target);
-                assert_eq!(a.max_windows, b.max_windows);
-            }
-            _ => panic!("plan kind changed in round trip"),
-        }
-
-        let full = tiny_full_request();
-        let back = DseRequest::parse(&full.to_line()).expect("full plan parses");
-        assert!(matches!(back.plan, RunPlan::Full { budget: 4_000 }));
-    }
-
-    #[test]
-    fn malformed_requests_name_the_problem() {
-        for (line, needle) in [
-            ("HELLO", "DSE v1"),
-            ("DSE v1 grid=2+0", "benches"),
-            ("DSE v1 benches=compress", "grid"),
-            ("DSE v1 benches=nosuch grid=2+0", "nosuch"),
-            ("DSE v1 benches=compress grid=2x0", "2x0"),
-            ("DSE v1 benches=compress grid=0+1", "zero L1 ports"),
-            ("DSE v1 benches=compress grid=2+0 conf=42 windows=2", "conf"),
-            ("DSE v1 benches=compress grid=2+0 bad-token", "bad-token"),
-        ] {
-            let err = DseRequest::parse(line).expect_err(line);
-            assert!(err.contains(needle), "{line:?} -> {err:?}");
         }
     }
 
@@ -1239,16 +727,18 @@ mod tests {
         assert_eq!(cold_sum.misses, cold_sum.cells);
         assert_eq!(cold_sum.hits, 0);
         assert!(cold_sum.sim_insts > 0);
+        // Stored under the file names earlier builds wrote.
+        for r in &cold {
+            let name = format!("res_{:016x}.bin", r.key);
+            assert_eq!(svc.results().path_for(r.key), dir.join(name));
+        }
+        assert_eq!(svc.results().len().unwrap(), cold_sum.cells);
         let (warm, warm_sum) = svc.run_request(&req);
         assert_eq!(warm_sum.hits, warm_sum.cells);
         assert_eq!(warm_sum.misses, 0);
         assert_eq!(warm_sum.sim_insts, 0, "warm rerun must simulate nothing");
         // Bit-identical outcomes, hit or miss.
-        let by_index = |mut v: Vec<CellReport>| {
-            v.sort_by_key(|r| r.index);
-            v
-        };
-        let (cold, warm) = (by_index(cold), by_index(warm));
+        assert_eq!(cold.len(), warm.len());
         for (c, w) in cold.iter().zip(&warm) {
             assert_eq!(c.key, w.key);
             assert_eq!(c.outcome, w.outcome);
@@ -1275,77 +765,17 @@ mod tests {
                 label: "good".into(),
             },
         ];
-        let mut reports = Vec::new();
-        let sum = svc.run_streaming(
-            &cells,
-            DEFAULT_SEED,
-            &RunPlan::Full { budget: 2_000 },
-            &mut |r| reports.push(r),
-        );
+        let plan = RunPlan::Full { budget: 2_000 };
+        let (reports, sum) = svc.run_cells(&cells, DEFAULT_SEED, &plan);
         assert_eq!(sum.errors, 1);
         assert_eq!(sum.misses, 1);
-        reports.sort_by_key(|r| r.index);
         assert!(matches!(reports[0].status, CellStatus::Error(_)));
         assert!(reports[0].outcome.is_none());
         assert!(matches!(reports[1].status, CellStatus::Miss));
         // The error was not cached: rerunning retries it.
-        let mut statuses = Vec::new();
-        svc.run_streaming(
-            &cells,
-            DEFAULT_SEED,
-            &RunPlan::Full { budget: 2_000 },
-            &mut |r| statuses.push((r.index, r.status.clone())),
-        );
-        statuses.sort_by_key(|(i, _)| *i);
-        assert!(matches!(statuses[0].1, CellStatus::Error(_)));
-        assert!(matches!(statuses[1].1, CellStatus::Hit));
+        let (reports, _) = svc.run_cells(&cells, DEFAULT_SEED, &plan);
+        assert!(matches!(reports[0].status, CellStatus::Error(_)));
+        assert!(matches!(reports[1].status, CellStatus::Hit));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cell_lines_carry_the_protocol_fields() {
-        let rep = CellReport {
-            index: 3,
-            label: "129.compress/4+2/c2/f1".into(),
-            key: 0xDEAD_BEEF,
-            status: CellStatus::Hit,
-            outcome: Some(CellOutcome::Full(SimResult {
-                cycles: 200,
-                committed: 100,
-                halted: false,
-                stall_rob_full: 0,
-                stall_lsq_full: 0,
-                stall_lvaq_full: 0,
-                misclassifications: 0,
-                lsq: Default::default(),
-                lvaq: Default::default(),
-                l1: Default::default(),
-                lvc: None,
-                l2: Default::default(),
-                load_latency_sum: 0,
-                load_latency_count: 0,
-                faults: Default::default(),
-            })),
-            sim_insts: 0,
-        };
-        let line = cell_line(&rep);
-        for needle in [
-            "CELL i=3",
-            "status=hit",
-            "key=00000000deadbeef",
-            "kind=full",
-            "cpi=2.000000",
-            "ci=0.000000",
-            "insts=100",
-            "sim=0",
-        ] {
-            assert!(line.contains(needle), "{line:?} missing {needle}");
-        }
-        let err = CellReport {
-            status: CellStatus::Error("boom with spaces".into()),
-            outcome: None,
-            ..rep
-        };
-        assert!(cell_line(&err).contains("msg=boom with spaces"));
     }
 }

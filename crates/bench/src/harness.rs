@@ -269,12 +269,7 @@ fn flatten_next(
 /// Collapses a pool task result: a caught worker panic becomes a
 /// structured [`SimError::WorkerPanic`] carrying the panic message.
 fn flatten_task(r: pool::TaskResult<Result<SimResult, SimError>>) -> Result<SimResult, SimError> {
-    match r {
-        Ok(res) => res,
-        Err(payload) => Err(SimError::WorkerPanic(crate::campaign::panic_message(
-            payload.as_ref(),
-        ))),
-    }
+    r.unwrap_or_else(|msg| Err(SimError::WorkerPanic(msg)))
 }
 
 #[cfg(test)]

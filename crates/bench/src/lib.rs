@@ -20,6 +20,7 @@ mod harness;
 pub mod microbench;
 pub mod pool;
 pub mod sampling;
+pub mod store;
 
 pub use checkpoint::{config_fingerprint, program_fingerprint, CheckpointStore};
 pub use dse::{

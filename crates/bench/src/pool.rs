@@ -11,9 +11,11 @@
 //! simulation).
 //!
 //! Panic isolation: a panicking task never takes the pool down. The
-//! worker catches the unwind at the task boundary, records it as that
-//! task's `Err` result, and moves on to the next task — the behaviour
-//! figure sweeps need when one configuration point is poisoned.
+//! worker catches the unwind at the task boundary ([`catch_panic`]),
+//! records its message as that task's `Err` result, and moves on to the
+//! next task — the behaviour figure sweeps need when one configuration
+//! point is poisoned. [`catch_panic`] is the crate's one isolation
+//! primitive; the fuzz campaign wraps each kernel run in it too.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -21,8 +23,21 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// What one task left behind: its value, or the payload of its panic.
-pub type TaskResult<T> = std::thread::Result<T>;
+/// What one task left behind: its value, or the message of its panic.
+pub type TaskResult<T> = Result<T, String>;
+
+/// Runs `f`, turning a panic that escapes it into the panic's message.
+pub fn catch_panic<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        }
+    })
+}
 
 /// The number of workers a sweep of `tasks` tasks should use: the
 /// `DDA_WORKERS` override when set (read once; useful both to throttle a
@@ -77,7 +92,7 @@ pub fn host_parallelism() -> usize {
 /// their results in submission order.
 ///
 /// Tasks are independent `FnOnce` closures. A panicking task yields
-/// `Err(payload)` at its own index; every other task still runs.
+/// `Err(message)` at its own index; every other task still runs.
 pub fn run_tasks<T, F>(tasks: Vec<F>, workers: usize) -> Vec<TaskResult<T>>
 where
     T: Send,
@@ -110,7 +125,7 @@ where
         };
         let Some(task) = task else { return };
         SHARING.with(|c| c.set(workers > 1));
-        let out = catch_unwind(AssertUnwindSafe(task));
+        let out = catch_panic(task);
         if let Ok(mut r) = results[idx].lock() {
             *r = Some(out);
         }
@@ -163,9 +178,9 @@ where
             Ok(Some(out)) => out,
             // A cell can only be empty if its task was never run, which
             // the claim counter rules out; a poisoned mutex means the
-            // *pool* panicked, not the task. Surface both as a panic
-            // payload rather than unwinding the caller.
-            _ => Err(Box::new("task result missing".to_string()) as Box<dyn std::any::Any + Send>),
+            // *pool* panicked, not the task. Surface both as a task
+            // failure rather than unwinding the caller.
+            _ => Err("task result missing".to_string()),
         })
         .collect()
 }
@@ -215,15 +230,27 @@ mod tests {
         let out = run_tasks(tasks, 3);
         for (i, r) in out.iter().enumerate() {
             if i == 7 {
-                let msg = r
-                    .as_ref()
-                    .err()
-                    .and_then(|e| e.downcast_ref::<&str>().copied());
-                assert_eq!(msg, Some("task 7 poisoned"));
+                assert_eq!(
+                    r.as_ref().err().map(String::as_str),
+                    Some("task 7 poisoned")
+                );
             } else {
                 assert_eq!(*r.as_ref().unwrap(), i as u64);
             }
         }
+    }
+
+    #[test]
+    fn catch_panic_keeps_values_and_names_panics() {
+        assert_eq!(catch_panic(|| 5), Ok(5));
+        assert_eq!(
+            catch_panic(|| -> u8 { panic!("cell {} poisoned", 3) }),
+            Err("cell 3 poisoned".to_string())
+        );
+        assert_eq!(
+            catch_panic(|| -> u8 { std::panic::panic_any(7u32) }),
+            Err("non-string panic payload".to_string())
+        );
     }
 
     #[test]

@@ -349,14 +349,14 @@ pub fn sample_program_stored(
     };
     // A store holding the second window's start was filled by this shape:
     // its windows restore instead of fast-forwarding.
-    let served = store.is_some_and(|s| s.path_for(&keys.at(spacing(scfg))).is_file());
+    let served = store.is_some_and(|s| s.path_for(keys.at(spacing(scfg))).is_file());
     let threaded = sampling_threads() == 2 && !served;
     let (ran, back) = drive(front, back, Back::handle, threaded);
     let ran = ran?;
     if let (Some(s), true) = (store, ran.save_tail) {
         let mut ck = ran.vm.checkpoint(keys.program, keys.config);
         ck.cache_tags = back.warm.as_ref().map(|w| w.tags().to_bytes());
-        let _ = s.save(&ck); // best effort
+        let _ = s.save(ck.key, &ck); // best effort
     }
     let windows = ran.windows;
     let conf = scfg.confidence;
@@ -505,7 +505,7 @@ impl Back<'_> {
                 if let (Some(s), true) = (self.store, save) {
                     let mut ck = vm.checkpoint(self.keys.program, self.keys.config);
                     ck.cache_tags = tags.as_ref().map(HierarchyTags::to_bytes);
-                    let _ = s.save(&ck); // best effort
+                    let _ = s.save(ck.key, &ck); // best effort
                 }
                 let run = self.sim.run_window(
                     *vm,
@@ -838,7 +838,7 @@ fn load_state(
     program: &Arc<Program>,
     expect_tags: bool,
 ) -> Option<(Vm, Option<HierarchyTags>)> {
-    let ck = store.load(key).ok().flatten()?;
+    let ck = store.load(*key).ok().flatten()?;
     let tags = tags_from_checkpoint(&ck).ok()?;
     if expect_tags != tags.is_some() {
         return None;
@@ -1126,15 +1126,8 @@ mod tests {
             } else {
                 |_, _| panic!("back stage failed")
             };
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                drive(front, (0, results_tx), handle, true)
-            }));
-            let payload = caught.err().expect("the helper's panic re-raises");
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_default();
+            let caught = crate::pool::catch_panic(|| drive(front, (0, results_tx), handle, true));
+            let msg = caught.err().expect("the helper's panic re-raises");
             assert!(msg.starts_with("back stage failed"), "payload {msg:?}");
         }
     }

@@ -5,7 +5,8 @@
 //! and if the key honestly covers every result-affecting input. These
 //! tests enforce both over randomized config matrices, plus the failure
 //! path: a corrupted store record must degrade to a miss (recompute and
-//! re-save), never to a wrong answer.
+//! re-save), never to a wrong answer, and the mixed path: one call whose
+//! hits and misses interleave returns every outcome at its own cell.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -16,7 +17,7 @@ use dda::workloads::Benchmark;
 use dda_bench::dse::{DEFAULT_SEED, KERNEL_VERSION};
 use dda_bench::{
     compute_cell, result_key, CellOutcome, CellStatus, CheckpointStore, DseCell, DseService,
-    ResultStore, RunPlan, SamplingConfig,
+    DseSummary, ResultStore, RunPlan, SamplingConfig,
 };
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -48,7 +49,14 @@ fn randomized_cells(rng: &mut Rng) -> Vec<DseCell> {
         });
     }
     // One faulting point: cached FaultStats must equal a fresh run's.
-    cells.push(DseCell {
+    cells.push(faulty_cell());
+    cells
+}
+
+/// A point with an active fault plan, whose fault-RNG draw order must
+/// survive the cache.
+fn faulty_cell() -> DseCell {
+    DseCell {
         bench: Benchmark::Li,
         cfg: MachineConfig::n_plus_m(4, 2)
             .with_optimizations()
@@ -60,8 +68,7 @@ fn randomized_cells(rng: &mut Rng) -> Vec<DseCell> {
                 ..FaultPlan::none()
             }),
         label: "faulty/4+2".into(),
-    });
-    cells
+    }
 }
 
 fn collect(
@@ -69,12 +76,11 @@ fn collect(
     cells: &[DseCell],
     plan: &RunPlan,
 ) -> Vec<(usize, CellStatus, Option<CellOutcome>, u64)> {
-    let mut out = Vec::new();
-    svc.run_streaming(cells, DEFAULT_SEED, plan, &mut |r| {
-        out.push((r.index, r.status, r.outcome, r.sim_insts));
-    });
-    out.sort_by_key(|(i, ..)| *i);
-    out
+    let (reports, _) = svc.run_cells(cells, DEFAULT_SEED, plan);
+    reports
+        .into_iter()
+        .map(|r| (r.index, r.status, r.outcome, r.sim_insts))
+        .collect()
 }
 
 #[test]
@@ -113,6 +119,100 @@ fn cached_results_are_bit_identical_to_fresh_simulation() {
 }
 
 #[test]
+fn mixed_hits_and_misses_line_up_in_cell_order() {
+    // One call where stored and computed results interleave: the engine
+    // must put each outcome back at its own cell.
+    let dir = temp_dir("mixed");
+    let svc = DseService::new(ResultStore::open(&dir).expect("store opens"), None);
+    let plan = RunPlan::Full { budget: 5_000 };
+    let cell = |bench, cfg, label: &str| DseCell {
+        bench,
+        cfg,
+        label: label.into(),
+    };
+    let cells = vec![
+        cell(
+            Benchmark::Compress,
+            MachineConfig::n_plus_m(2, 0),
+            "compress/2+0",
+        ),
+        cell(Benchmark::Li, MachineConfig::n_plus_m(2, 0), "li/2+0"),
+        cell(
+            Benchmark::Compress,
+            MachineConfig::n_plus_m(4, 2).with_optimizations(),
+            "compress/4+2",
+        ),
+        cell(
+            Benchmark::Vortex,
+            MachineConfig::n_plus_m(2, 2),
+            "vortex/2+2",
+        ),
+        cell(
+            Benchmark::Li,
+            MachineConfig::n_plus_m(4, 2)
+                .with_combining(1)
+                .with_fast_forwarding(false),
+            "li/4+2/c1/f0",
+        ),
+        faulty_cell(),
+        cell(
+            Benchmark::Compress,
+            MachineConfig::n_plus_m(3, 1),
+            "compress/3+1",
+        ),
+    ];
+    // Non-adjacent hits, the faulty cell among them.
+    let stored = [0usize, 2, 5];
+    let subset: Vec<DseCell> = stored.iter().map(|&i| cells[i].clone()).collect();
+    let (_, pre) = svc.run_cells(&subset, DEFAULT_SEED, &plan);
+    assert_eq!(
+        pre.misses,
+        stored.len(),
+        "pre-population simulated each cell"
+    );
+
+    let (reports, summary) = svc.run_cells(&cells, DEFAULT_SEED, &plan);
+    assert_eq!(reports.len(), cells.len());
+    let mut miss_insts = 0;
+    for (i, (rep, cell)) in reports.iter().zip(&cells).enumerate() {
+        assert_eq!(rep.index, i);
+        assert_eq!(rep.label, cell.label);
+        let program = Arc::new(cell.bench.program(DEFAULT_SEED));
+        let key = result_key(
+            KERNEL_VERSION,
+            &cell.cfg,
+            dda_bench::program_fingerprint(&program),
+            DEFAULT_SEED,
+            &plan,
+        );
+        assert_eq!(rep.key, key, "{}", cell.label);
+        let (fresh, insts) =
+            compute_cell(&cell.cfg, program, &plan, None).expect("fresh run succeeds");
+        assert_eq!(rep.outcome.as_ref(), Some(&fresh), "{}", cell.label);
+        if stored.contains(&i) {
+            assert_eq!(rep.status, CellStatus::Hit, "{}", cell.label);
+            assert_eq!(rep.sim_insts, 0, "{}", cell.label);
+        } else {
+            assert_eq!(rep.status, CellStatus::Miss, "{}", cell.label);
+            assert_eq!(rep.sim_insts, insts, "{}", cell.label);
+            miss_insts += insts;
+        }
+    }
+    assert_eq!(
+        summary,
+        DseSummary {
+            cells: cells.len(),
+            hits: stored.len(),
+            misses: cells.len() - stored.len(),
+            errors: 0,
+            sim_insts: miss_insts,
+            host_secs: summary.host_secs,
+        }
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn key_invalidation_matrix() {
     let dir = temp_dir("keys");
     let store = ResultStore::open(&dir).expect("store opens");
@@ -145,11 +245,8 @@ fn key_invalidation_matrix() {
     assert_eq!(r[0].1, CellStatus::Miss, "config change must miss");
 
     // A seed (workload-scale) change misses.
-    let mut out = Vec::new();
-    svc.run_streaming(cells, DEFAULT_SEED - 1, &plan, &mut |rep| {
-        out.push(rep.status);
-    });
-    assert_eq!(out[0], CellStatus::Miss, "seed change must miss");
+    let (out, _) = svc.run_cells(cells, DEFAULT_SEED - 1, &plan);
+    assert_eq!(out[0].status, CellStatus::Miss, "seed change must miss");
 
     // A plan change misses.
     let r = collect(&svc, cells, &RunPlan::Full { budget: 3_001 });

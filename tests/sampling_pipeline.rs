@@ -87,7 +87,7 @@ fn load_state(
     program: &Arc<Program>,
     expect_tags: bool,
 ) -> Option<(Vm, Option<HierarchyTags>)> {
-    let ck = store.load(key).ok().flatten()?;
+    let ck = store.load(*key).ok().flatten()?;
     let tags = tags_from_checkpoint(&ck).ok()?;
     if expect_tags != tags.is_some() {
         return None;
@@ -161,7 +161,7 @@ fn serial_sample(
                 if let Some(s) = store {
                     let mut ck = vm.checkpoint(phash, chash);
                     ck.cache_tags = tags.as_ref().map(|t| t.to_bytes());
-                    let _ = s.save(&ck);
+                    let _ = s.save(ck.key, &ck);
                 }
                 tags
             }
@@ -189,7 +189,7 @@ fn serial_sample(
                 if let (Some(s), false) = (store, vm.is_halted()) {
                     let mut ck = vm.checkpoint(phash, chash);
                     ck.cache_tags = warm.as_ref().map(|w| w.tags().to_bytes());
-                    let _ = s.save(&ck);
+                    let _ = s.save(ck.key, &ck);
                 }
             }
         }
@@ -339,8 +339,8 @@ fn runs_on_a_shared_pool_match_the_serial_loop() {
         })
         .collect();
     for r in dda_bench::pool::run_tasks(tasks, 2) {
-        if let Err(panic) = r {
-            std::panic::resume_unwind(panic);
+        if let Err(msg) = r {
+            panic!("{msg}");
         }
     }
 }
